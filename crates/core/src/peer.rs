@@ -149,6 +149,20 @@ impl IndexingState {
             .publish(entry);
     }
 
+    /// Install a strictly doc-ascending batch of entries for `term` in
+    /// one linear merge ([`PostingList::merge_sorted`]): same result as
+    /// publishing them one at a time. An empty batch creates no list.
+    pub fn merge(&mut self, term: TermId, entries: &[IndexEntry]) {
+        if entries.is_empty() {
+            return;
+        }
+        let packed = self.packed;
+        self.inverted
+            .entry(term)
+            .or_insert_with(|| PostingList::new(packed))
+            .merge_sorted(entries);
+    }
+
     /// Remove the entry for `(term, doc)` eagerly; true if it existed.
     /// A list is dropped only when nothing — live or tombstoned — is
     /// left in it, so pending tombstones always survive to be billed by
@@ -310,15 +324,15 @@ impl IndexingState {
         self.cache.len()
     }
 
-    /// Copy all state from `other` into `self` (successor replication).
-    /// Returns the number of entries copied.
+    /// Copy all live entries from `other` into `self` (successor
+    /// replication), one [`Self::merge`] per list. Returns the number of
+    /// entries copied.
     pub fn absorb_replica(&mut self, other: &IndexingState) -> usize {
         let mut copied = 0;
         for (&t, list) in &other.inverted {
-            for e in list {
-                self.publish(t, e);
-                copied += 1;
-            }
+            let entries = list.to_entries();
+            self.merge(t, &entries);
+            copied += entries.len();
         }
         copied
     }
@@ -457,6 +471,8 @@ mod tests {
         assert_eq!(copied, 2);
         assert_eq!(a.indexed_df(TermId(1)), 2);
         assert_eq!(a.indexed_df(TermId(2)), 1);
+        a.merge(TermId(7), &[]);
+        assert_eq!(a.indexed_terms(), 2, "an empty batch creates no list");
     }
 
     #[test]

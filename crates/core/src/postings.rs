@@ -14,6 +14,16 @@
 //! apart, and the `storage/packed` determinism stage in `sprite-audit`
 //! holds both to bit-identical fingerprints.
 //!
+//! **Writes never re-encode a whole list.** An in-order publish appends
+//! one entry. An out-of-order publish or an eager remove scans the doc
+//! gaps to the entry's position and splices only the local bytes: the
+//! new or replaced entry plus, at most, the following entry's gap. A
+//! batch — every maintenance transfer — installs through one linear
+//! [`PostingList::merge_sorted`]. The encoding is canonical (each gap is
+//! relative to the stored predecessor), so every path leaves exactly the
+//! bytes [`PostingList::from_entries`] would produce for the same
+//! entries.
+//!
 //! **Tombstones.** Document deletion marks entries dead instead of
 //! re-encoding the list on the spot: each list carries a sorted side
 //! vector of tombstoned document ids, [`PostingIter`] skips them, and
@@ -77,12 +87,7 @@ pub enum PostingList {
 /// preceding entry's document id (`None` for the first entry, which
 /// stores its id absolutely).
 fn encode_entry(e: &IndexEntry, prev_doc: Option<u32>, out: &mut Vec<u8>) {
-    let doc = e.doc.index() as u64;
-    let gap = match prev_doc {
-        Some(p) => doc - u64::from(p),
-        None => doc,
-    };
-    encode_varint(gap, out);
+    encode_varint(gap(e.doc.index() as u32, prev_doc), out);
     out.extend_from_slice(&e.owner.0.to_be_bytes());
     encode_varint(u64::from(e.tf), out);
     encode_varint(u64::from(e.doc_len), out);
@@ -92,11 +97,7 @@ fn encode_entry(e: &IndexEntry, prev_doc: Option<u32>, out: &mut Vec<u8>) {
 /// Decode one entry starting at `at`; returns the entry and the offset
 /// one past it. Packed bytes are self-produced, so failures are bugs.
 fn decode_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (IndexEntry, usize) {
-    let (gap, at) = decode_varint(bytes, at).expect("packed postings: doc gap");
-    let doc = match prev_doc {
-        Some(p) => u64::from(p) + gap,
-        None => gap,
-    };
+    let (doc, at) = decode_doc(bytes, at, prev_doc);
     let owner_end = at + 16;
     let owner = u128::from_be_bytes(
         bytes[at..owner_end]
@@ -108,7 +109,7 @@ fn decode_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (IndexEntry, 
     let (distinct, at) = decode_varint(bytes, at).expect("packed postings: distinct");
     (
         IndexEntry {
-            doc: DocId(doc as u32),
+            doc: DocId(doc),
             owner: RingId(owner),
             tf: tf as u32,
             doc_len: doc_len as u32,
@@ -116,6 +117,66 @@ fn decode_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (IndexEntry, 
         },
         at,
     )
+}
+
+/// Decode the doc gap starting at `at` into an absolute document id;
+/// returns it and the offset one past the gap.
+fn decode_doc(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (u32, usize) {
+    let (gap, after_gap) = decode_varint(bytes, at).expect("packed postings: doc gap");
+    ((u64::from(prev_doc.unwrap_or(0)) + gap) as u32, after_gap)
+}
+
+/// Offset one past an entry's payload (owner address, tf, doc length,
+/// distinct count), given the offset one past its doc gap.
+fn skip_payload(bytes: &[u8], after_gap: usize) -> usize {
+    let mut at = after_gap + 16;
+    for _ in 0..3 {
+        at = decode_varint(bytes, at)
+            .expect("packed postings: payload")
+            .1;
+    }
+    at
+}
+
+/// Where a document id falls in a packed block: the first stored entry
+/// whose doc id is ≥ the target.
+struct Seek {
+    /// Byte offset of that entry (the block length when there is none).
+    at: usize,
+    /// Doc id of the entry before it (`None` at the front).
+    prev: Option<u32>,
+    /// That entry's doc id and the offset one past its gap varint;
+    /// `None` when every stored doc is below the target.
+    next: Option<(u32, usize)>,
+}
+
+/// Walk the doc gaps of a packed block up to `target`, stepping over
+/// payloads without building entries and allocating nothing.
+fn seek(bytes: &[u8], target: u32) -> Seek {
+    let mut at = 0;
+    let mut prev = None;
+    while at < bytes.len() {
+        let (doc, after_gap) = decode_doc(bytes, at, prev);
+        if doc >= target {
+            return Seek {
+                at,
+                prev,
+                next: Some((doc, after_gap)),
+            };
+        }
+        at = skip_payload(bytes, after_gap);
+        prev = Some(doc);
+    }
+    Seek {
+        at,
+        prev,
+        next: None,
+    }
+}
+
+/// The canonical gap of `doc` after `prev` (absolute at the front).
+fn gap(doc: u32, prev: Option<u32>) -> u64 {
+    u64::from(doc - prev.unwrap_or(0))
 }
 
 impl PostingList {
@@ -196,8 +257,9 @@ impl PostingList {
     }
 
     /// The packed block's raw encoded bytes, when packed. Exposed so
-    /// tests can assert the append-only contract: between cleanups,
-    /// in-order publishes and tombstones never rewrite existing bytes.
+    /// tests can assert the append-only contract (between cleanups,
+    /// in-order publishes and tombstones never rewrite existing bytes)
+    /// and that every write leaves the canonical encoding.
     #[must_use]
     pub fn packed_bytes(&self) -> Option<&[u8]> {
         match self {
@@ -239,8 +301,7 @@ impl PostingList {
     }
 
     /// Every stored entry, tombstoned ones included — the physical
-    /// contents, used only by the re-encode paths below so a splice
-    /// never silently reclaims dead entries the cleanup pass must bill.
+    /// contents [`Self::cleanup`] partitions into live and reclaimed.
     fn all_entries(&self) -> Vec<IndexEntry> {
         match self {
             PostingList::Plain { entries, .. } => entries.clone(),
@@ -293,19 +354,31 @@ impl PostingList {
         }
     }
 
+    /// The sorted tombstone side vector, shared by both representations.
+    fn dead_mut(&mut self) -> &mut Vec<u32> {
+        match self {
+            PostingList::Plain { dead, .. } | PostingList::Packed { dead, .. } => dead,
+        }
+    }
+
     /// Insert or replace the entry for its document, keeping the list
     /// sorted by document id with one entry per document. A republished
     /// document sheds any pending tombstone. In-order publishes
     /// (ascending doc ids — the bulk-publish common case) append to the
-    /// packed block without re-encoding; out-of-order publishes decode,
-    /// splice, and re-encode.
+    /// packed block; out-of-order publishes splice in place: a replace
+    /// swaps that entry's bytes, and an insert writes the new entry and
+    /// re-encodes the following entry's doc gap. Nothing else is
+    /// rewritten.
     pub fn publish(&mut self, entry: IndexEntry) {
         let doc = entry.doc.index() as u32;
+        // Tombstoned docs were published before, so they sit at or below
+        // `last_doc`: only a splice can revive one.
+        let dead = self.dead_mut();
+        if let Ok(i) = dead.binary_search(&doc) {
+            dead.remove(i);
+        }
         match self {
-            PostingList::Plain { entries, dead } => {
-                if let Ok(i) = dead.binary_search(&doc) {
-                    dead.remove(i);
-                }
+            PostingList::Plain { entries, .. } => {
                 match entries.binary_search_by_key(&entry.doc, |e| e.doc) {
                     Ok(i) => entries[i] = entry,
                     Err(i) => entries.insert(i, entry),
@@ -317,75 +390,156 @@ impl PostingList {
                 last_doc,
                 ..
             } => {
-                // Tombstoned docs were published before, so they sit at
-                // or below `last_doc`: the in-order append path can
-                // never hit one.
-                if *count == 0 {
-                    encode_entry(&entry, None, bytes);
-                    *count = 1;
-                    *last_doc = doc;
-                } else if doc > *last_doc {
-                    encode_entry(&entry, Some(*last_doc), bytes);
+                if *count == 0 || doc > *last_doc {
+                    let prev = (*count > 0).then_some(*last_doc);
+                    encode_entry(&entry, prev, bytes);
                     *count += 1;
                     *last_doc = doc;
+                    return;
+                }
+                let s = seek(bytes, doc);
+                let (next_doc, after_gap) = s.next.expect("doc ≤ last_doc has a successor");
+                let mut local = Vec::new();
+                encode_entry(&entry, s.prev, &mut local);
+                if next_doc == doc {
+                    let end = skip_payload(bytes, after_gap);
+                    bytes.splice(s.at..end, local);
                 } else {
-                    let mut list = self.all_entries();
-                    match list.binary_search_by_key(&entry.doc, |e| e.doc) {
-                        Ok(i) => list[i] = entry,
-                        Err(i) => list.insert(i, entry),
-                    }
-                    let mut dead = match self {
-                        PostingList::Packed { dead, .. } => std::mem::take(dead),
-                        PostingList::Plain { .. } => unreachable!(),
-                    };
-                    if let Ok(i) = dead.binary_search(&doc) {
-                        dead.remove(i);
-                    }
-                    *self = PostingList::from_entries(list, true);
-                    if let PostingList::Packed { dead: d, .. } = self {
-                        *d = dead;
-                    }
+                    encode_varint(gap(next_doc, Some(doc)), &mut local);
+                    bytes.splice(s.at..after_gap, local);
+                    *count += 1;
                 }
             }
         }
     }
 
-    /// Eagerly remove the entry for `doc` — physical removal, pending
-    /// tombstone included; true if the entry existed. The lazy
-    /// alternative is [`Self::tombstone`].
-    pub fn remove(&mut self, doc: DocId) -> bool {
-        match self {
-            PostingList::Plain { entries, dead } => {
-                if let Ok(i) = dead.binary_search(&(doc.index() as u32)) {
-                    dead.remove(i);
+    /// Install a strictly doc-ascending batch in one linear merge: batch
+    /// entries replace stored entries for the same document (the batch
+    /// wins ties) and shed their pending tombstones. The result equals
+    /// publishing the batch one entry at a time. This is the bulk install
+    /// path of every maintenance transfer (replication, orphan re-homing,
+    /// hand-over).
+    pub fn merge_sorted(&mut self, batch: &[IndexEntry]) {
+        // The stored gaps depend on it, so this holds in release too.
+        assert!(
+            batch.windows(2).all(|w| w[0].doc < w[1].doc),
+            "merge_sorted: batch must be strictly doc-ascending"
+        );
+        let Some(first) = batch.first() else {
+            return;
+        };
+        let dead = self.dead_mut();
+        if !dead.is_empty() {
+            let mut b = 0;
+            dead.retain(|&d| {
+                while batch.get(b).is_some_and(|e| (e.doc.index() as u32) < d) {
+                    b += 1;
                 }
+                batch.get(b).is_none_or(|e| e.doc.index() as u32 != d)
+            });
+        }
+        match self {
+            PostingList::Plain { entries, .. } => {
+                let old = std::mem::take(entries);
+                entries.reserve(old.len() + batch.len());
+                let mut incoming = batch.iter().copied().peekable();
+                for e in old {
+                    while let Some(b) = incoming.next_if(|b| b.doc < e.doc) {
+                        entries.push(b);
+                    }
+                    entries.push(incoming.next_if(|b| b.doc == e.doc).unwrap_or(e));
+                }
+                entries.extend(incoming);
+            }
+            PostingList::Packed {
+                bytes,
+                count,
+                last_doc,
+                ..
+            } => {
+                // A batch past the last doc only appends. Otherwise the
+                // block is rebuilt in one pass, each stored payload copied
+                // verbatim behind a re-encoded gap.
+                let append_only = *count == 0 || first.doc.index() as u32 > *last_doc;
+                let (old, mut prev) = if append_only {
+                    (Vec::new(), (*count > 0).then_some(*last_doc))
+                } else {
+                    *count = 0;
+                    let old = std::mem::take(bytes);
+                    bytes.reserve(old.len());
+                    (old, None)
+                };
+                let mut incoming = batch.iter().peekable();
+                let (mut at, mut old_prev) = (0, None);
+                while at < old.len() {
+                    let (doc, after_gap) = decode_doc(&old, at, old_prev);
+                    let end = skip_payload(&old, after_gap);
+                    while let Some(b) = incoming.next_if(|b| b.doc.index() as u32 <= doc) {
+                        encode_entry(b, prev, bytes);
+                        prev = Some(b.doc.index() as u32);
+                        *count += 1;
+                    }
+                    if prev != Some(doc) {
+                        // Not replaced by the batch: keep the stored entry.
+                        encode_varint(gap(doc, prev), bytes);
+                        bytes.extend_from_slice(&old[after_gap..end]);
+                        prev = Some(doc);
+                        *count += 1;
+                    }
+                    old_prev = Some(doc);
+                    at = end;
+                }
+                for b in incoming {
+                    encode_entry(b, prev, bytes);
+                    prev = Some(b.doc.index() as u32);
+                    *count += 1;
+                }
+                *last_doc = prev.unwrap_or(0);
+            }
+        }
+    }
+
+    /// Eagerly remove the entry for `doc` — physical removal, pending
+    /// tombstone included; true if the entry existed. A packed block
+    /// splices out the entry's bytes and re-encodes the next entry's
+    /// gap. The lazy alternative is [`Self::tombstone`].
+    pub fn remove(&mut self, doc: DocId) -> bool {
+        let id = doc.index() as u32;
+        // Only stored docs carry tombstones, so shedding first is safe.
+        let dead = self.dead_mut();
+        if let Ok(i) = dead.binary_search(&id) {
+            dead.remove(i);
+        }
+        match self {
+            PostingList::Plain { entries, .. } => {
                 let before = entries.len();
                 entries.retain(|e| e.doc != doc);
                 entries.len() != before
             }
             PostingList::Packed {
-                count, last_doc, ..
+                bytes,
+                count,
+                last_doc,
+                ..
             } => {
-                if *count == 0 || doc.index() as u32 > *last_doc {
+                if *count == 0 || id > *last_doc {
                     return false;
                 }
-                let mut list = self.all_entries();
-                let before = list.len();
-                list.retain(|e| e.doc != doc);
-                if list.len() == before {
+                let s = seek(bytes, id);
+                let Some((_, after_gap)) = s.next.filter(|&(d, _)| d == id) else {
                     return false;
-                }
-                let mut dead = match self {
-                    PostingList::Packed { dead, .. } => std::mem::take(dead),
-                    PostingList::Plain { .. } => unreachable!(),
                 };
-                if let Ok(i) = dead.binary_search(&(doc.index() as u32)) {
-                    dead.remove(i);
+                let end = skip_payload(bytes, after_gap);
+                if end < bytes.len() {
+                    let (next_doc, next_after_gap) = decode_doc(bytes, end, Some(id));
+                    let mut local = Vec::new();
+                    encode_varint(gap(next_doc, s.prev), &mut local);
+                    bytes.splice(s.at..next_after_gap, local);
+                } else {
+                    bytes.truncate(s.at);
+                    *last_doc = s.prev.unwrap_or(0);
                 }
-                *self = PostingList::from_entries(list, true);
-                if let PostingList::Packed { dead: d, .. } = self {
-                    *d = dead;
-                }
+                *count -= 1;
                 true
             }
         }
@@ -394,21 +548,28 @@ impl PostingList {
     /// Mark the entry for `doc` dead without touching the stored bytes;
     /// true if a live entry existed. The entry disappears from every
     /// live-facing accessor immediately; the physical reclaim — and its
-    /// billing — waits for [`Self::cleanup`].
+    /// billing — waits for [`Self::cleanup`]. On a packed block the
+    /// presence test walks the doc gaps, stopping at the first doc ≥
+    /// `doc`, and allocates nothing.
     pub fn tombstone(&mut self, doc: DocId) -> bool {
         let id = doc.index() as u32;
         let present = match self {
             PostingList::Plain { entries, .. } => {
                 entries.binary_search_by_key(&doc, |e| e.doc).is_ok()
             }
-            PostingList::Packed { .. } => self.all_entries().iter().any(|e| e.doc == doc),
+            PostingList::Packed {
+                bytes,
+                count,
+                last_doc,
+                ..
+            } => {
+                *count > 0 && id <= *last_doc && seek(bytes, id).next.is_some_and(|(d, _)| d == id)
+            }
         };
         if !present {
             return false;
         }
-        let dead = match self {
-            PostingList::Plain { dead, .. } | PostingList::Packed { dead, .. } => dead,
-        };
+        let dead = self.dead_mut();
         match dead.binary_search(&id) {
             Ok(_) => false,
             Err(i) => {
@@ -607,6 +768,45 @@ mod tests {
         assert_eq!(packed.len(), 2);
         assert_eq!(packed.to_entries()[0].tf, 9);
         assert_eq!(packed.to_entries()[1].tf, 7);
+    }
+
+    #[test]
+    fn splices_and_merges_leave_canonical_bytes() {
+        let canonical = |docs: &[u32], tf: u32| {
+            PostingList::from_entries(docs.iter().map(|&d| entry(d, tf)).collect(), true)
+        };
+        let mut list = canonical(&[10, 200, 300], 1);
+        list.publish(entry(5, 1)); // insert at the front: 10's gap shrinks
+        list.publish(entry(150, 1)); // insert mid-list: 200's gap shrinks
+        assert_eq!(
+            list.packed_bytes(),
+            canonical(&[5, 10, 150, 200, 300], 1).packed_bytes()
+        );
+        assert!(list.remove(DocId(5))); // 10 becomes absolute again
+        assert!(list.remove(DocId(300))); // the tail: last_doc falls back
+        assert_eq!(
+            list.packed_bytes(),
+            canonical(&[10, 150, 200], 1).packed_bytes()
+        );
+        list.publish(entry(250, 1));
+        assert_eq!(
+            list.packed_bytes(),
+            canonical(&[10, 150, 200, 250], 1).packed_bytes()
+        );
+        list.merge_sorted(&[entry(0, 2), entry(150, 2), entry(999, 2)]);
+        let mut want = canonical(&[10, 200, 250], 1);
+        want.publish(entry(0, 2));
+        want.publish(entry(150, 2));
+        want.publish(entry(999, 2));
+        assert_eq!(list.packed_bytes(), want.packed_bytes());
+        // A batch past the watermark only appends.
+        let before = list.packed_bytes().expect("packed").to_vec();
+        list.merge_sorted(&[entry(1000, 1), entry(5000, 1)]);
+        assert_eq!(
+            &list.packed_bytes().expect("packed")[..before.len()],
+            &before[..]
+        );
+        assert_eq!(list.len(), 8);
     }
 
     #[test]

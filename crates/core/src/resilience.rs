@@ -287,9 +287,7 @@ impl SpriteSystem {
                     .entry(lookup.owner.0)
                     .or_insert_with(|| IndexingState::with_packing(cap, packed));
                 let before = st.indexed_df(term);
-                for &e in &entries {
-                    st.publish(term, e);
-                }
+                st.merge(term, &entries);
                 moved += st.indexed_df(term) - before;
             }
         }
@@ -339,9 +337,7 @@ impl SpriteSystem {
                 .or_insert_with(|| IndexingState::with_packing(cap, packed));
             for (term, entries) in records {
                 let before = st.indexed_df(term);
-                for &e in &entries {
-                    st.publish(term, e);
-                }
+                st.merge(term, &entries);
                 installed += if count_new {
                     st.indexed_df(term) - before
                 } else {
@@ -454,10 +450,8 @@ impl SpriteSystem {
                         .indexing_mut()
                         .entry(replica.0)
                         .or_insert_with(|| IndexingState::with_packing(cap, packed));
-                    for &e in &entries {
-                        st.publish(term, e);
-                        copied += 1;
-                    }
+                    st.merge(term, &entries);
+                    copied += entries.len();
                 }
             }
         }
@@ -619,6 +613,52 @@ mod tests {
         let entries_before = sys.total_index_entries();
         sys.replicate_indexes();
         assert_eq!(sys.total_index_entries(), entries_before);
+    }
+
+    /// Every peer's lists — live entries and packed bytes — plus its
+    /// logical index bytes, in peer then term order.
+    type IndexSnapshot = Vec<(RingId, u64, Vec<(TermId, Vec<IndexEntry>, Option<Vec<u8>>)>)>;
+
+    fn index_snapshot(sys: &SpriteSystem) -> IndexSnapshot {
+        sys.indexing_peers()
+            .into_iter()
+            .map(|p| {
+                let st = sys.indexing_state(p).expect("indexing peer");
+                let lists = st
+                    .terms()
+                    .map(|(t, l)| (t, l.to_entries(), l.packed_bytes().map(<[u8]>::to_vec)))
+                    .collect();
+                (p, st.logical_index_bytes(), lists)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repeated_maintenance_without_churn_is_a_fixed_point() {
+        for batched_publish in [true, false] {
+            let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(13));
+            let cfg = SpriteConfig {
+                replication: 3,
+                batched_publish,
+                ..SpriteConfig::default()
+            };
+            let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, 13);
+            sys.publish_all();
+            let first = sys.maintenance_round();
+            let after_first = index_snapshot(&sys);
+            let second = sys.maintenance_round();
+            assert_eq!(
+                index_snapshot(&sys),
+                after_first,
+                "a second round changed some list (batched: {batched_publish})"
+            );
+            assert!(first.replicated > 0);
+            assert_eq!(
+                second.replicated, first.replicated,
+                "replication still counts every shipped entry"
+            );
+            assert_eq!(second.orphans_moved, 0);
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! tombstone, eager-remove, and cleanup are replayed against a naive
 //! vector model, on the plain and packed representations side by side —
 //! every live-facing accessor must agree with the model at every step,
-//! and a packed block must never rewrite bytes behind its append
-//! watermark except through [`PostingList::cleanup`].
+//! a packed block must never rewrite bytes behind its append watermark
+//! except through [`PostingList::cleanup`], and every splice or bulk
+//! merge must leave exactly the canonical encoding
+//! [`PostingList::from_entries`] produces for the stored entries.
 
 use sprite_core::{IndexEntry, PostingList};
 use sprite_ir::DocId;
@@ -38,6 +40,11 @@ impl Model {
         match self.stored.binary_search_by_key(&e.doc, |(s, _)| s.doc) {
             Ok(i) => self.stored[i] = (e, false),
             Err(i) => self.stored.insert(i, (e, false)),
+        }
+    }
+    fn merge(&mut self, batch: &[IndexEntry]) {
+        for &e in batch {
+            self.publish(e);
         }
     }
     fn tombstone(&mut self, doc: DocId) -> bool {
@@ -73,6 +80,35 @@ impl Model {
     fn dead_count(&self) -> usize {
         self.stored.iter().filter(|(_, d)| *d).count()
     }
+    /// Every stored entry, tombstoned ones included — what the packed
+    /// block physically encodes.
+    fn all(&self) -> Vec<IndexEntry> {
+        self.stored.iter().map(|(e, _)| *e).collect()
+    }
+}
+
+/// A random strictly doc-ascending batch over `0..doc_space`: each doc is
+/// picked with probability ½, so a batch mixes fresh docs, replacements
+/// of stored ones and revivals of tombstoned ones.
+fn batch(r: &mut DetRng, doc_space: u32) -> Vec<IndexEntry> {
+    let mut out = Vec::new();
+    for d in 0..doc_space {
+        if r.gen_range(0..2) == 0 {
+            out.push(entry(r, d));
+        }
+    }
+    out
+}
+
+/// The canonical-encoding guard: a packed block must hold exactly the
+/// bytes a from-scratch encode of the model's stored entries produces.
+fn check_canonical(list: &PostingList, model: &Model, step: usize) {
+    let canonical = PostingList::from_entries(model.all(), true);
+    assert_eq!(
+        list.packed_bytes(),
+        canonical.packed_bytes(),
+        "packed bytes are not canonical at step {step}"
+    );
 }
 
 fn check_agreement(list: &PostingList, model: &Model, step: usize) {
@@ -110,7 +146,7 @@ fn random_interleavings_agree_with_the_naive_model() {
         let steps = r.gen_range(10..60);
         for step in 0..steps {
             let doc = r.gen_range(0..doc_space as usize) as u32;
-            match r.gen_range(0..10) {
+            match r.gen_range(0..11) {
                 // Publishing dominates, mixing in-order appends (fresh
                 // high ids) with out-of-order splices and republishes.
                 0..=4 => {
@@ -128,6 +164,12 @@ fn random_interleavings_agree_with_the_naive_model() {
                     assert_eq!(b, m, "packed tombstone verdict, round {round} step {step}");
                 }
                 7 => {
+                    let b = batch(&mut r, doc_space);
+                    plain.merge_sorted(&b);
+                    packed.merge_sorted(&b);
+                    model.merge(&b);
+                }
+                8 => {
                     let d = DocId(doc);
                     let a = plain.remove(d);
                     let b = packed.remove(d);
@@ -145,6 +187,55 @@ fn random_interleavings_agree_with_the_naive_model() {
             }
             check_agreement(&plain, &model, step);
             check_agreement(&packed, &model, step);
+            check_canonical(&packed, &model, step);
+        }
+    }
+}
+
+/// `merge_sorted(batch)` leaves exactly the state of publishing the batch
+/// one entry at a time — live entries, tombstone debt, the reclaim set
+/// and, for packed blocks, the encoded bytes — on both representations,
+/// starting from lists that carry tombstones.
+#[test]
+fn merge_sorted_equals_publishing_one_at_a_time() {
+    let mut r = rng("merge");
+    for round in 0..128 {
+        let doc_space = r.gen_range(1..40) as u32;
+        let stored = batch(&mut r, doc_space);
+        let victims: Vec<DocId> = stored
+            .iter()
+            .filter(|_| r.gen_range(0..3) == 0)
+            .map(|e| e.doc)
+            .collect();
+        let incoming = batch(&mut r, doc_space + 8);
+        for packed in [false, true] {
+            let mut merged = PostingList::from_entries(stored.clone(), packed);
+            for &v in &victims {
+                assert!(merged.tombstone(v));
+            }
+            let mut published = merged.clone();
+            merged.merge_sorted(&incoming);
+            for &e in &incoming {
+                published.publish(e);
+            }
+            assert_eq!(merged.to_entries(), published.to_entries(), "round {round}");
+            assert_eq!(merged.dead_count(), published.dead_count(), "round {round}");
+            assert_eq!(
+                merged.packed_bytes(),
+                published.packed_bytes(),
+                "round {round}"
+            );
+            assert_eq!(
+                merged.stored_bytes(),
+                published.stored_bytes(),
+                "round {round}"
+            );
+            assert_eq!(merged.cleanup(), published.cleanup(), "round {round}");
+            assert_eq!(
+                merged.packed_bytes(),
+                published.packed_bytes(),
+                "round {round}"
+            );
         }
     }
 }
