@@ -738,10 +738,9 @@ impl ChordNet {
         })
     }
 
-    /// [`Self::lookup_fast`] that additionally emits one event per routing
-    /// hop (and per failed probe) into `sink`. Charging is bit-identical to
-    /// the untraced call; when `T::ENABLED` is false this *is* the untraced
-    /// call — the path bookkeeping compiles out.
+    /// [`Self::lookup_fast`] that additionally emits the walk's events into
+    /// `sink` (see [`Self::probe_traced`]): charges a delta, then merges it
+    /// into the network's counters.
     pub fn lookup_fast_traced<T: TraceSink>(
         &mut self,
         from: RingId,
@@ -750,13 +749,32 @@ impl ChordNet {
         tick: u64,
         sink: &mut T,
     ) -> Result<LookupLite, ChordError> {
+        let mut delta = NetStats::new();
+        let result = self.probe_traced(from, key, &mut delta, phase, tick, sink);
+        self.stats.merge(&delta);
+        result
+    }
+
+    /// [`Self::probe`] that additionally emits one event per routing hop,
+    /// per failed probe and per in-flight drop into `sink` — the single
+    /// event-emitting route walk. Charging is bit-identical to the
+    /// untraced call; when `T::ENABLED` is false this *is* the untraced
+    /// call — the path bookkeeping compiles out.
+    pub fn probe_traced<T: TraceSink>(
+        &self,
+        from: RingId,
+        key: RingId,
+        stats: &mut NetStats,
+        phase: Phase,
+        tick: u64,
+        sink: &mut T,
+    ) -> Result<LookupLite, ChordError> {
         if !T::ENABLED {
-            return self.lookup_fast(from, key);
+            return self.probe(from, key, stats);
         }
         let mut path = Vec::new();
         let (result, hops, failed, lost) = self.walk(from, key, Some(&mut path));
-        self.stats
-            .charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
+        stats.charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
         // `path` holds the origin plus every intermediate node contacted:
         // exactly `hops` hop messages target `path[1..]`.
         for &peer in path.iter().skip(1) {

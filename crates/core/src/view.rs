@@ -1,11 +1,13 @@
-//! The read-only query fast path.
+//! The one query implementation.
 //!
 //! [`QueryView`] is a frozen snapshot of a [`crate::SpriteSystem`]: it
 //! borrows the ring, the indexing-peer states, and the precomputed
 //! term→ring positions immutably, so any number of threads can rank
-//! queries against it concurrently. It exists because evaluation is
-//! logically read-only, yet `issue_query` takes `&mut self` for three
-//! pieces of bookkeeping the *measurement* phase does not want anyway:
+//! queries against it concurrently. Every query flavor ranks here — the
+//! §4 route, fetch, replica failover and scoring, charged into a
+//! caller-owned [`NetStats`] delta. [`crate::SpriteSystem::issue_query_from`]
+//! *is* this query plus the §3 side effect, and plain view queries leave
+//! out exactly that mutable bookkeeping:
 //!
 //! * **query caching / `query_seq`** — evaluation queries are probes of
 //!   current quality, not training examples; caching them would leak the
@@ -13,17 +15,12 @@
 //! * **the round-robin issue cursor** — the view takes an explicit `from`
 //!   peer per query instead, so the issuing peer depends only on the
 //!   query's position in the workload, not on global mutable state;
-//! * **`NetStats` charging** — the view charges an identical message bill
-//!   into a caller-owned [`NetStats`] delta; per-query deltas merged in
-//!   input order reproduce the sequential totals bit-for-bit because every
-//!   `NetStats` field is a sum or a max.
+//! * **`NetStats` charging** — per-query deltas merged in input order
+//!   reproduce the sequential totals bit-for-bit because every `NetStats`
+//!   field is a sum or a max; the system absorbs its delta at once.
 //!
-//! Ranking matches [`crate::SpriteSystem::issue_query_from`] exactly —
-//! same routing walk, same per-keyword fetch charges, same replica
-//! failover, same floating-point accumulation order — so hit lists and
-//! scores are bit-identical to the sequential path. [`RankScratch`] keeps
-//! the per-thread accumulation maps alive across queries so the hot loop
-//! stops reallocating them.
+//! [`RankScratch`] keeps the per-thread accumulation buffers alive across
+//! queries so the hot loop stops reallocating them.
 
 use std::collections::HashMap;
 
@@ -42,11 +39,10 @@ use crate::trace::{KeywordTrace, QueryTrace};
 /// so starting a query is O(1), clearing is implicit, and the per-posting
 /// hot loop is two array writes instead of two hash-map probes. The
 /// `touched` list remembers which documents this query reached; the final
-/// hit sort is a total order over `(score, doc)`, so ranked lists are
-/// bit-identical to the historical hash-map accumulation (scores are
-/// summed per document in the same posting order either way). The
-/// contents never survive a query — only the allocations do.
-#[derive(Debug, Default)]
+/// hit sort is a total order over `(score, doc)`, so ranked lists do not
+/// depend on the order documents were first touched. The contents are
+/// reset at the start of every query — only the allocations persist.
+#[derive(Clone, Debug, Default)]
 pub struct RankScratch {
     dot: Vec<f64>,
     norm_sq: Vec<f64>,
@@ -55,6 +51,9 @@ pub struct RankScratch {
     current: u32,
     touched: Vec<DocId>,
     hits: Vec<Hit>,
+    /// The indexing peer each keyword routed to, in keyword order
+    /// (dead-ended keywords have none).
+    routed: Vec<RingId>,
 }
 
 impl RankScratch {
@@ -69,6 +68,7 @@ impl RankScratch {
     fn begin(&mut self, docs: usize) {
         self.touched.clear();
         self.hits.clear();
+        self.routed.clear();
         if self.epoch.len() < docs {
             self.dot.resize(docs, 0.0);
             self.norm_sq.resize(docs, 0.0);
@@ -81,6 +81,12 @@ impl RankScratch {
             self.current = 0;
         }
         self.current += 1;
+    }
+
+    /// The indexing peers the last query's keywords routed to, one per
+    /// resolved keyword in keyword order — where §3 caches the query.
+    pub(crate) fn routed(&self) -> &[RingId] {
+        &self.routed
     }
 
     /// The dense slot of `doc`, zeroed on its first touch this query.
@@ -150,9 +156,9 @@ impl<'a> QueryView<'a> {
     }
 
     /// Rank `query` issued from peer `from`, charging the message bill into
-    /// `stats`. Identical results and charges to
-    /// [`crate::SpriteSystem::issue_query_from`], minus the query-caching
-    /// side effects (see the module docs for why those are dropped here).
+    /// `stats`. [`crate::SpriteSystem::issue_query_from`] runs this same
+    /// query and then caches it at the routed indexing peers; the view
+    /// leaves that out (see the module docs for why).
     #[must_use]
     pub fn query(
         &self,
@@ -274,9 +280,10 @@ impl<'a> QueryView<'a> {
     /// The single query implementation behind every public flavor. When the
     /// sink is [`NullTrace`] and no [`QueryTrace`] is requested, every
     /// tracing branch is compile-time dead or `qt.is_some()`-guarded, so
-    /// the hot evaluation path pays nothing.
+    /// the hot evaluation path pays nothing. A [`QueryTrace`] is only
+    /// requested under [`NullTrace`]: its route probe emits no events.
     #[allow(clippy::too_many_arguments)]
-    fn query_impl<T: TraceSink>(
+    pub(crate) fn query_impl<T: TraceSink>(
         &self,
         from: RingId,
         query: &Query,
@@ -288,38 +295,39 @@ impl<'a> QueryView<'a> {
         mut qt: Option<&mut QueryTrace>,
         memo: Option<&RouteMemo>,
     ) -> Vec<Hit> {
+        scratch.begin(self.corpus.len());
         if query.is_empty() || !self.net.contains(from) {
             return Vec::new();
         }
-        scratch.begin(self.corpus.len());
         let msgs_before = stats.total_messages();
         let mut replicas_probed: u64 = 0;
         let n = self.cfg.assumed_n;
         for (term, qtf) in query.term_counts() {
             let key = self.term_ring(term);
-            let need_path = T::ENABLED || qt.is_some();
             let dead_before = stats.count(MsgKind::Failed) + stats.count(MsgKind::Timeout);
-            // Resolve the keyword's indexing peer. The path-carrying probe
-            // charges exactly like the lite one; only traced callers pay
-            // the allocation.
-            let resolved = if need_path {
+            // Resolve the keyword's indexing peer. Every flavor charges
+            // alike: the report probe returns the route it walked, the
+            // memo replays a recorded walk, and the traced probe emits the
+            // walk's events (it compiles to the plain probe untraced).
+            let resolved = if qt.is_some() {
                 self.net
                     .probe_full(from, key, stats)
                     .map(|l| (l.owner, l.hops, l.path))
-            } else if let Some(memo) = memo {
+            } else if let Some(memo) = memo.filter(|_| !T::ENABLED) {
                 self.net
                     .probe_via(memo, from, key, stats)
                     .map(|l| (l.owner, l.hops, Vec::new()))
             } else {
                 self.net
-                    .probe(from, key, stats)
+                    .probe_traced(from, key, stats, Phase::Query, tick, sink)
                     .map(|l| (l.owner, l.hops, Vec::new()))
             };
             let (owner, hops, route) = match resolved {
                 Ok(r) => r,
                 Err(_) => {
-                    // §7 degradation, mirroring `issue_query_from`: charge
-                    // the abandoned retry and drop the keyword.
+                    // §7 degradation: charge the abandoned retry and drop
+                    // the keyword — ranking proceeds on the terms that are
+                    // still reachable.
                     trace::charge(stats, sink, tick, from, MsgKind::Timeout, Phase::Query);
                     if let Some(q) = qt.as_deref_mut() {
                         let timeouts = stats.count(MsgKind::Failed) + stats.count(MsgKind::Timeout)
@@ -340,17 +348,7 @@ impl<'a> QueryView<'a> {
                     continue;
                 }
             };
-            if T::ENABLED {
-                for &peer in route.iter().skip(1) {
-                    sink.emit(trace::Event {
-                        tick,
-                        peer,
-                        kind: MsgKind::LookupHop,
-                        phase: Phase::Query,
-                    });
-                }
-                sink.lookup_done(hops);
-            }
+            scratch.routed.push(owner);
             trace::charge(stats, sink, tick, owner, MsgKind::QueryFetch, Phase::Query);
             let mut postings: Option<&PostingList> =
                 self.indexing.get(&owner.0).and_then(|st| st.postings(term));
@@ -366,9 +364,10 @@ impl<'a> QueryView<'a> {
             let mut failover: Vec<RingId> = Vec::new();
             let mut served_by = if owner_hit { Some(owner) } else { None };
             // Failover when the routed peer holds no list (it may have
-            // taken over an arc after a failure, §7): same routed
-            // successor-chain walk as the sequential path, charged into
-            // the caller's delta.
+            // taken over an arc after a failure, §7): walk the owner's
+            // successor chain — never the oracle — and retry each live
+            // replica in turn, charged into the caller's delta. A fully
+            // dead replica set leaves the term with no entries.
             if !owner_hit && self.cfg.replication > 1 {
                 let replicas = self.net.replicas_from_owner_traced(
                     owner,
@@ -418,9 +417,10 @@ impl<'a> QueryView<'a> {
                     entries: n_entries,
                 });
             }
-            // Accumulate immediately (§4 ranking). Terms arrive in the same
-            // sorted order as the sequential path's fetch list, so the
-            // floating-point addition order per document is identical.
+            // Accumulate immediately (§4 ranking): indexed document
+            // frequency as n′_k, the assumed large N. Terms arrive in sorted
+            // order, so the floating-point addition order per document is
+            // fixed.
             let df = match self.cfg.idf_mode {
                 IdfMode::Indexed => n_entries,
                 IdfMode::TrueDf => self.true_dfs.map_or(0, |d| d[term.index()] as usize),
@@ -451,6 +451,8 @@ impl<'a> QueryView<'a> {
             let num = scratch.dot[i];
             let denom = match self.cfg.similarity {
                 Similarity::LeeSecond => f64::from(scratch.meta[i]).sqrt(),
+                // Distributed cosine can only normalize over the
+                // *retrieved* term weights (ablation configuration).
                 Similarity::CosineTfIdf => scratch.norm_sq[i].sqrt(),
             };
             let score = if denom > 0.0 { num / denom } else { 0.0 };
@@ -494,6 +496,7 @@ mod tests {
     use super::*;
     use crate::config::SpriteConfig;
     use crate::system::SpriteSystem;
+    use sprite_chord::TraceRecorder;
     use sprite_corpus::{CorpusConfig, SyntheticCorpus};
 
     fn tiny_system(cfg: SpriteConfig) -> SpriteSystem {
@@ -516,9 +519,33 @@ mod tests {
         ]
     }
 
+    /// Fail `victims` straight on the ring — no stabilization, no state
+    /// clean-up — so routing meets dead successor entries.
+    fn fail_unrepaired(sys: &mut SpriteSystem, victims: &[RingId]) {
+        for &v in victims {
+            sys.net_mut().fail(v).expect("alive peer");
+        }
+    }
+
+    /// The probe queries plus each of the first documents' published
+    /// terms as one query: enough keywords to reach most of the ring.
+    fn wide_queries(sys: &SpriteSystem) -> Vec<Query> {
+        let mut queries = probe_queries(sys);
+        queries.extend((0..24).map(|d| Query::new(sys.published_terms(DocId(d)).to_vec())));
+        queries
+    }
+
+    fn total_cached(sys: &SpriteSystem) -> usize {
+        sys.indexing_peers()
+            .into_iter()
+            .filter_map(|p| sys.indexing_state(p))
+            .map(IndexingState::cached_queries)
+            .sum()
+    }
+
     #[test]
     fn view_matches_issue_query_from_exactly() {
-        for cfg in [
+        let configs = [
             SpriteConfig::default(),
             SpriteConfig {
                 replication: 3,
@@ -529,19 +556,62 @@ mod tests {
                 idf_mode: IdfMode::TrueDf,
                 ..SpriteConfig::default()
             },
-        ] {
+        ];
+        for (cfg, damaged) in configs
+            .into_iter()
+            .flat_map(|c| [(c.clone(), false), (c, true)])
+        {
+            let replicated = cfg.replication > 1;
             let mut sys = tiny_system(cfg);
-            let queries = probe_queries(&sys);
-            let peers = sys.peers().to_vec();
+            let queries = wide_queries(&sys);
+            if damaged {
+                // Doc 0's first term loses its whole r=3 replica set, so
+                // the next live peer holds no list and fails over; a run of
+                // eight more (a whole successor list) makes walks dead-end.
+                let ids = sys.net().node_ids();
+                let key = sys.term_ring(sys.published_terms(DocId(0))[0]);
+                let owner = sys.net().oracle_owner(key).expect("non-empty ring");
+                let o = ids
+                    .iter()
+                    .position(|&p| p == owner)
+                    .expect("owner is a peer");
+                let victims: Vec<RingId> = (0..3)
+                    .chain(6..14)
+                    .map(|d| ids[(o + d) % ids.len()])
+                    .collect();
+                fail_unrepaired(&mut sys, &victims);
+            }
+            let peers = sys.net().node_ids();
+            let (mut dead_ends, mut failovers) = (0, 0);
             for (i, q) in queries.iter().enumerate() {
                 let from = peers[(i * 3) % peers.len()];
-                // View first (read-only), then the mutating reference path.
+                // View first (read-only), then the mutating path.
                 let mut delta = NetStats::new();
                 let mut scratch = RankScratch::new();
-                let view_hits = {
+                let (view_hits, report) = {
                     let view = sys.query_view();
-                    view.query(from, q, 20, &mut delta, &mut scratch)
+                    let hits = view.query(from, q, 20, &mut delta, &mut scratch);
+                    let (_, report) =
+                        view.query_trace(from, q, 20, &mut NetStats::new(), &mut scratch);
+                    (hits, report)
                 };
+                // Where the query must be cached: once per keyword, at the
+                // peer that keyword routed to.
+                let mut routed: HashMap<u128, usize> = HashMap::new();
+                for kw in &report.keywords {
+                    match kw.owner {
+                        Some(owner) => *routed.entry(owner.0).or_default() += 1,
+                        None => dead_ends += 1,
+                    }
+                    failovers += usize::from(!kw.failover.is_empty());
+                }
+                let cached = |sys: &SpriteSystem, peer: u128| {
+                    sys.indexing_state(RingId(peer))
+                        .map_or(0, IndexingState::cached_queries)
+                };
+                let before: Vec<(u128, usize)> =
+                    routed.keys().map(|&p| (p, cached(&sys, p))).collect();
+                let total_before = total_cached(&sys);
                 sys.net_mut().reset_stats();
                 let seq_hits = sys.issue_query_from(from, q, 20);
                 assert_eq!(view_hits.len(), seq_hits.len(), "query {i}");
@@ -550,8 +620,79 @@ mod tests {
                     assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {i}");
                 }
                 assert_eq!(&delta, sys.net().stats(), "charges differ, query {i}");
+                for (peer, n) in before {
+                    assert_eq!(cached(&sys, peer), n + routed[&peer], "query {i}");
+                }
+                assert_eq!(
+                    total_cached(&sys),
+                    total_before + routed.values().sum::<usize>(),
+                    "only routed peers cache, query {i}"
+                );
+            }
+            if damaged {
+                assert!(dead_ends > 0, "damage must dead-end some walks");
+                assert!(!replicated || failovers > 0, "damage must force failover");
             }
         }
+    }
+
+    /// Per-kind conservation: every message and byte the stats billed was
+    /// also traced, and nothing else.
+    fn assert_trace_conserves(rec: &TraceRecorder, stats: &NetStats, what: &str) {
+        for kind in MsgKind::all() {
+            assert_eq!(
+                rec.kind_count(kind),
+                stats.count(kind),
+                "{what}: {} count",
+                kind.name()
+            );
+            assert_eq!(
+                rec.kind_bytes(kind),
+                stats.bytes(kind),
+                "{what}: {} bytes",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn tracing_conserves_every_kind_under_unrepaired_failures() {
+        let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(17));
+        let cfg = SpriteConfig {
+            replication: 3,
+            ..SpriteConfig::default()
+        };
+        let mut sys = SpriteSystem::build(sc.corpus().clone(), 32, cfg, 17);
+        sys.publish_all();
+        let queries = wide_queries(&sys);
+        let victims: Vec<RingId> = sys.net().node_ids().into_iter().step_by(4).collect();
+        fail_unrepaired(&mut sys, &victims);
+        let peers = sys.net().node_ids();
+        let from = |i: usize| peers[(i * 3) % peers.len()];
+
+        let mut delta = NetStats::new();
+        let mut rec = TraceRecorder::new();
+        let mut scratch = RankScratch::new();
+        {
+            let view = sys.query_view();
+            for (i, q) in queries.iter().enumerate() {
+                let _ = view.query_traced(from(i), q, 20, &mut delta, &mut scratch, 0, &mut rec);
+            }
+        }
+        assert!(
+            delta.count(MsgKind::Failed) > 0,
+            "walks must meet dead peers"
+        );
+        assert_trace_conserves(&rec, &delta, "QueryView::query_traced");
+
+        sys.net_mut().reset_stats();
+        sys.enable_tracing();
+        for (i, q) in queries.iter().enumerate() {
+            let _ = sys.issue_query_from(from(i), q, 20);
+        }
+        let rec = sys.take_tracer().expect("tracing was on");
+        assert!(sys.net().stats().count(MsgKind::Failed) > 0);
+        assert_trace_conserves(&rec, sys.net().stats(), "issue_query_from");
     }
 
     #[test]
