@@ -52,6 +52,26 @@ pub fn term_record_wire_size(term: TermId, entry: &IndexEntry) -> usize {
     varint_len(term.index() as u64) + entry.wire_size()
 }
 
+/// Exact wire size of one list digest, the anti-entropy summary a
+/// maintenance probe carries: the varint term id and an 8-byte
+/// fingerprint of the list's canonical encoding. The simulator compares
+/// the encodings themselves ([`PostingList::same_live_entries`]) and
+/// bills this fixed size for the comparison.
+#[must_use]
+pub fn digest_wire_size(term: TermId) -> usize {
+    varint_len(term.index() as u64) + 8
+}
+
+/// Exact wire size of a transfer of `entries` under `term`: the sum of
+/// their [`term_record_wire_size`]s.
+#[must_use]
+pub fn records_wire_size(term: TermId, entries: &[IndexEntry]) -> u64 {
+    entries
+        .iter()
+        .map(|e| term_record_wire_size(term, e) as u64)
+        .sum()
+}
+
 /// Exact wire size of one `(term, doc)` removal record.
 #[must_use]
 pub fn removal_wire_size(term: TermId, doc: DocId) -> usize {
@@ -324,17 +344,32 @@ impl IndexingState {
         self.cache.len()
     }
 
-    /// Copy all live entries from `other` into `self` (successor
-    /// replication), one [`Self::merge`] per list. Returns the number of
-    /// entries copied.
-    pub fn absorb_replica(&mut self, other: &IndexingState) -> usize {
-        let mut copied = 0;
-        for (&t, list) in &other.inverted {
+    /// True when this peer already holds exactly `list`'s live entries
+    /// under `term`: the anti-entropy digest match. Installing `list`
+    /// here would then change nothing, so maintenance transfers skip it.
+    #[must_use]
+    pub fn holds_identical(&self, term: TermId, list: &PostingList) -> bool {
+        self.inverted
+            .get(&term)
+            .is_some_and(|mine| mine.same_live_entries(list))
+    }
+
+    /// Copy the live entries of every list in `other` that this peer does
+    /// not already hold identically ([`Self::holds_identical`]), one
+    /// [`Self::merge`] per list — the graceful hand-over. Returns the
+    /// entries copied and their exact record bytes.
+    pub fn absorb_replica(&mut self, other: &IndexingState) -> (usize, u64) {
+        let (mut copied, mut bytes) = (0, 0);
+        for (t, list) in other.terms() {
+            if self.holds_identical(t, list) {
+                continue;
+            }
             let entries = list.to_entries();
             self.merge(t, &entries);
             copied += entries.len();
+            bytes += records_wire_size(t, &entries);
         }
-        copied
+        (copied, bytes)
     }
 }
 
@@ -467,8 +502,14 @@ mod tests {
         let mut b = IndexingState::new(4);
         b.publish(TermId(1), entry(1, 3));
         b.publish(TermId(2), entry(2, 4));
-        let copied = a.absorb_replica(&b);
+        let (copied, bytes) = a.absorb_replica(&b);
         assert_eq!(copied, 2);
+        assert_eq!(bytes, 42, "two 21-byte records");
+        assert_eq!(
+            b.clone().absorb_replica(&b),
+            (0, 0),
+            "identical lists are skipped"
+        );
         assert_eq!(a.indexed_df(TermId(1)), 2);
         assert_eq!(a.indexed_df(TermId(2)), 1);
         a.merge(TermId(7), &[]);
@@ -532,7 +573,7 @@ mod tests {
         src.publish(TermId(1), entry(1, 3));
         assert!(src.tombstone(TermId(1), DocId(0)));
         let mut dst = IndexingState::new(4);
-        let copied = dst.absorb_replica(&src);
+        let (copied, _) = dst.absorb_replica(&src);
         assert_eq!(copied, 1, "only the live entry replicates");
         assert_eq!(dst.indexed_df(TermId(1)), 1);
         assert_eq!(dst.entries(TermId(1))[0].doc, DocId(1));

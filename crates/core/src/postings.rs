@@ -268,6 +268,39 @@ impl PostingList {
         }
     }
 
+    /// True when both lists hold exactly the same live entries, whatever
+    /// their representations and tombstone debt. Two tombstone-free lists
+    /// of one representation compare their canonical storage directly
+    /// (the packed block, or the plain entries); anything else walks the
+    /// live iterators.
+    #[must_use]
+    pub fn same_live_entries(&self, other: &PostingList) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
+        match (self, other) {
+            (
+                PostingList::Packed {
+                    bytes: a, dead: da, ..
+                },
+                PostingList::Packed {
+                    bytes: b, dead: db, ..
+                },
+            ) if da.is_empty() && db.is_empty() => a == b,
+            (
+                PostingList::Plain {
+                    entries: a,
+                    dead: da,
+                },
+                PostingList::Plain {
+                    entries: b,
+                    dead: db,
+                },
+            ) if da.is_empty() && db.is_empty() => a == b,
+            _ => self.iter().eq(other.iter()),
+        }
+    }
+
     /// Iterate *live* entries in document-id order, decoding on the fly
     /// and skipping tombstoned documents.
     #[must_use]
@@ -892,6 +925,24 @@ mod tests {
             &before[..],
             "cleanup is the watermark that re-encodes"
         );
+    }
+
+    #[test]
+    fn same_live_entries_ignores_representation_and_tombstones() {
+        let docs = |ds: &[u32], tf: u32| ds.iter().map(|&d| entry(d, tf)).collect::<Vec<_>>();
+        for (a_packed, b_packed) in [(true, true), (false, false), (true, false)] {
+            let a = PostingList::from_entries(docs(&[1, 4, 9], 2), a_packed);
+            let mut b = PostingList::from_entries(docs(&[1, 4, 9], 2), b_packed);
+            assert!(a.same_live_entries(&b) && b.same_live_entries(&a));
+            b.publish(entry(4, 3)); // same docs, one payload differs
+            assert!(!a.same_live_entries(&b));
+            b.publish(entry(4, 2));
+            b.publish(entry(6, 2)); // an extra doc, then tombstoned
+            assert!(!a.same_live_entries(&b));
+            assert!(b.tombstone(DocId(6)));
+            assert!(a.same_live_entries(&b), "a dead entry is invisible");
+            assert!(!a.same_live_entries(&PostingList::new(a_packed)));
+        }
     }
 
     #[test]

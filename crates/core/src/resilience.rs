@@ -7,19 +7,77 @@
 //! exactly that: retrieval quality after abrupt indexing-peer failures,
 //! with and without replication.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use sprite_chord::{sim, ChurnEngine, ChurnEvent, MsgKind, NetStats, Phase, TickReport};
 use sprite_ir::{DocId, TermId};
 use sprite_util::{derive_rng, EventQueue, RingId};
 
-use crate::peer::{term_record_wire_size, IndexEntry, IndexingState};
+use crate::peer::{digest_wire_size, records_wire_size, IndexEntry, IndexingState};
 use crate::system::SpriteSystem;
 
 /// Destination-batched maintenance transfers awaiting a flush: per
 /// destination, the summed payload bytes and the records to install on
 /// delivery.
 type TransferBatch = BTreeMap<u128, (u64, Vec<(TermId, Vec<IndexEntry>)>)>;
+
+/// Each held list's routed owner as the orphan pass found it: per
+/// `(holder, term)`, in that sorted order, the owner a `lookup_fast` from
+/// the holder returned (`None` when the walk failed). The ring cannot
+/// change inside a round, so the replication pass reuses these walks.
+type Routes = Vec<((u128, TermId), Option<RingId>)>;
+
+/// What one maintenance transfer pass did.
+#[derive(Clone, Copy, Debug, Default)]
+struct PassTally {
+    /// Entries installed: only those new at the receiver for the orphan
+    /// pass, every delivered entry for the replication pass.
+    installed: usize,
+    /// Lists whose digest matched the receiver's copy.
+    in_sync: usize,
+    /// Lists put on the wire.
+    shipped: usize,
+}
+
+/// One maintenance pass's outgoing transfers.
+struct Transfers {
+    /// Queue records for one flush per destination instead of sending
+    /// each list on its own.
+    batched: bool,
+    /// Count only entries new at the receiver (the orphan pass).
+    count_new: bool,
+    batch: TransferBatch,
+    /// `(destination, term)` pairs already carrying a record in `batch`.
+    /// A later record for the same pair ships even when its digest
+    /// matches the receiver: the later merge wins ties, so skipping it
+    /// could leave the earlier record's entries installed.
+    pending: HashSet<(u128, TermId)>,
+    tally: PassTally,
+}
+
+impl Transfers {
+    fn new(batched: bool, count_new: bool) -> Self {
+        Transfers {
+            batched,
+            count_new,
+            batch: BTreeMap::new(),
+            pending: HashSet::new(),
+            tally: PassTally::default(),
+        }
+    }
+}
+
+/// Merge one delivered record into `st`. Returns the entries it counts:
+/// those new at `st` when `count_new`, else every delivered entry.
+fn install(st: &mut IndexingState, term: TermId, entries: &[IndexEntry], count_new: bool) -> usize {
+    let before = st.indexed_df(term);
+    st.merge(term, entries);
+    if count_new {
+        st.indexed_df(term) - before
+    } else {
+        entries.len()
+    }
+}
 
 /// Report of a [`SpriteSystem::hot_term_advisory`] pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,8 +108,15 @@ pub struct MaintenanceReport {
     pub tombstones_reclaimed: usize,
     /// Entries re-homed from peers that are no longer responsible.
     pub orphans_moved: usize,
-    /// Entries copied by the replication pass.
+    /// Entries delivered by the replication pass.
     pub replicated: usize,
+    /// Lists offered by the orphan and replication passes whose digest
+    /// matched the receiver's copy, so nothing shipped.
+    pub lists_in_sync: usize,
+    /// Lists the orphan and replication passes shipped because the
+    /// receiver lacked them or held a different copy: the round's
+    /// replica divergence. Zero on a converged ring without churn.
+    pub lists_shipped: usize,
 }
 
 impl SpriteSystem {
@@ -125,10 +190,12 @@ impl SpriteSystem {
         report
     }
 
-    /// A gracefully leaving peer ships its inverted lists to its first
-    /// alive successor before departing (§7's handover). Returns entries
-    /// copied; 0 when the peer held no state or has no live successor (the
-    /// state is then lost with the departure).
+    /// A gracefully leaving peer hands its inverted lists to its first
+    /// alive successor before departing (§7's handover). The probe that
+    /// finds the heir carries one digest per list; only the lists the
+    /// heir does not already hold identically ship, billed per entry.
+    /// Returns entries copied; 0 when the peer held no state or has no
+    /// live successor (the state is then lost with the departure).
     fn hand_over_indexing(&mut self, leaving: RingId) -> usize {
         if self.indexing_state(leaving).is_none() {
             return 0;
@@ -144,25 +211,10 @@ impl SpriteSystem {
             .indexing_mut()
             .remove(&leaving.0)
             .expect("checked above");
-        // The leaver ships its full holdings over the wire, whether or not
-        // the heir already mirrors some of them — bill the shipped payload.
-        let shipped_bytes: u64 = state
-            .term_dfs()
-            .map(|(t, _)| {
-                state
-                    .entries(t)
-                    .iter()
-                    .map(|e| term_record_wire_size(t, e) as u64)
-                    .sum::<u64>()
-            })
-            .sum();
-        let cap = self.config().query_cache_capacity;
-        let packed = self.config().packed_postings;
-        let copied = self
-            .indexing_mut()
-            .entry(heir.0)
-            .or_insert_with(|| IndexingState::with_packing(cap, packed))
-            .absorb_replica(&state);
+        let digest_bytes: u64 = state.terms().map(|(t, _)| digest_wire_size(t) as u64).sum();
+        let (copied, shipped_bytes) = self.receiver_state(heir.0).absorb_replica(&state);
+        self.net_mut()
+            .charge_bytes(MsgKind::Maintenance, digest_bytes);
         self.net_mut().charge_n(MsgKind::Replication, copied as u64);
         self.net_mut()
             .charge_bytes(MsgKind::Replication, shipped_bytes);
@@ -171,17 +223,23 @@ impl SpriteSystem {
 
     /// The periodic maintenance hook run between churn ticks: reclaim
     /// tombstoned entries, re-home entries orphaned by ownership
-    /// transfer, then refresh successor replicas. Intended cadence:
+    /// transfer, then refresh successor replicas. Both transfer passes
+    /// share one routed owner lookup per held list. Intended cadence:
     /// every few [`Self::churn_tick`]s.
     pub fn maintenance_round(&mut self) -> MaintenanceReport {
         let span = self.trace_span_start();
-        let report = MaintenanceReport {
-            tombstones_reclaimed: self.reclaim_tombstones(),
-            orphans_moved: self.republish_orphans(),
-            replicated: self.replicate_indexes(),
-        };
+        let tombstones_reclaimed = self.reclaim_tombstones();
+        let mut routes = Routes::new();
+        let orphans = self.republish_orphans(&mut routes);
+        let replicas = self.replicate_pass(&routes);
         self.trace_span_end(Phase::Maintenance, span);
-        report
+        MaintenanceReport {
+            tombstones_reclaimed,
+            orphans_moved: orphans.installed,
+            replicated: replicas.installed,
+            lists_in_sync: orphans.in_sync + replicas.in_sync,
+            lists_shipped: orphans.shipped + replicas.shipped,
+        }
     }
 
     /// Lazy tombstone reclamation: every indexing peer compacts its
@@ -191,10 +249,9 @@ impl SpriteSystem {
     /// [`MsgKind::IndexRemove`] plus the removal record's exact bytes at
     /// the owner and every replica — happened when the record landed;
     /// reclamation itself is local compaction and charges nothing. The
-    /// compacted live lists then flow to successor replicas through this
-    /// same round's replication pass (per-entry
-    /// [`MsgKind::Replication`], delivery-gated through
-    /// [`Self::flush_transfer_batch`]), so a reclaimed entry can never
+    /// compacted live lists then flow to successor replicas whose copy
+    /// differs through this same round's replication pass (delivery-gated
+    /// [`MsgKind::Replication`]), so a reclaimed entry can never
     /// resurrect via replica repair. Runs first in the round, so no
     /// tombstone survives a single `maintenance_round` at a live peer.
     /// Returns entries reclaimed across all peers.
@@ -220,81 +277,108 @@ impl SpriteSystem {
 
     /// Re-home entries orphaned by ownership transfer: after joins, a peer
     /// may hold a term whose arc now belongs to a newcomer. Each holder
-    /// verifies responsibility with a routed lookup; when the owner
-    /// differs, one digest probe compares holdings and the term's entries
-    /// are shipped over (the old holder keeps its copy, which now acts as
-    /// a replica). Returns entries newly added at their proper owners.
-    fn republish_orphans(&mut self) -> usize {
-        let batched = self.config().batched_publish;
-        // dest peer → (summed payload bytes, records), flushed as one
-        // transfer message per destination (BTreeMap: deterministic order).
-        let mut batch: TransferBatch = BTreeMap::new();
-        let holders = self.holder_snapshot();
-        let mut moved = 0;
-        for (holder, terms) in holders {
-            if !self.net().contains(RingId(holder)) {
+    /// verifies responsibility with a routed lookup (appended to `routes`
+    /// for the replication pass); when the owner differs, one digest
+    /// probe carries the holder's list digest, and the list ships only
+    /// when the owner lacks an identical copy (the old holder keeps its
+    /// copy, which now acts as a replica). Its tally counts entries newly
+    /// installed at their proper owners.
+    fn republish_orphans(&mut self, routes: &mut Routes) -> PassTally {
+        let mut out = Transfers::new(self.config().batched_publish, true);
+        for (holder, terms) in self.holder_snapshot() {
+            let holder = RingId(holder);
+            if !self.net().contains(holder) {
                 continue;
             }
             for term in terms {
-                let key = self.term_ring(term);
-                let Ok(lookup) = self.net_mut().lookup_fast(RingId(holder), key) else {
+                let owner = self.route_owner(holder, term);
+                routes.push(((holder.0, term), owner));
+                let Some(owner) = owner else {
                     continue;
                 };
-                if lookup.owner.0 == holder {
+                if owner == holder {
                     continue;
                 }
                 self.net_mut().charge(MsgKind::Maintenance);
-                let entries: Vec<_> = self
-                    .indexing_state(RingId(holder))
-                    .map(|st| st.entries(term))
-                    .unwrap_or_default();
-                if entries.is_empty() {
-                    continue;
-                }
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| term_record_wire_size(term, e) as u64)
-                    .sum();
-                if batched {
-                    let slot = batch
-                        .entry(lookup.owner.0)
-                        .or_insert_with(|| (0, Vec::new()));
-                    slot.0 += bytes;
-                    slot.1.push((term, entries));
-                    continue; // installed (or lost) at flush time
-                }
-                // Unbatched: one delivery-gated transfer per (holder, term).
-                let salt =
-                    sim::message_salt(holder as u64, lookup.owner.0 as u64, term.index() as u64);
-                match self.net().plan_delivery(RingId(holder), lookup.owner, salt) {
-                    Ok((_arrival, drops)) => {
-                        if drops > 0 {
-                            self.net_mut().charge_n(MsgKind::Timeout, drops);
-                        }
-                        self.net_mut()
-                            .charge_n(MsgKind::Replication, entries.len() as u64);
-                        self.net_mut().charge_bytes(MsgKind::Replication, bytes);
-                    }
-                    Err(drops) => {
-                        self.net_mut().charge_n(MsgKind::Timeout, drops);
-                        continue; // transfer lost; the holder keeps its copy
-                    }
-                }
-                let cap = self.config().query_cache_capacity;
-                let packed = self.config().packed_postings;
-                let st = self
-                    .indexing_mut()
-                    .entry(lookup.owner.0)
-                    .or_insert_with(|| IndexingState::with_packing(cap, packed));
-                let before = st.indexed_df(term);
-                st.merge(term, &entries);
-                moved += st.indexed_df(term) - before;
+                self.net_mut()
+                    .charge_bytes(MsgKind::Maintenance, digest_wire_size(term) as u64);
+                self.offer_list(holder, owner, term, &mut out);
             }
         }
-        // Batched: all of one destination's re-homed records travel as a
-        // single in-flight transfer through the event scheduler.
-        moved += self.flush_transfer_batch(batch, true);
-        moved
+        self.flush_transfer_batch(out)
+    }
+
+    /// The routed owner of `term` as seen from `holder` (`None` when the
+    /// walk fails).
+    fn route_owner(&mut self, holder: RingId, term: TermId) -> Option<RingId> {
+        let key = self.term_ring(term);
+        self.net_mut()
+            .lookup_fast(holder, key)
+            .ok()
+            .map(|l| l.owner)
+    }
+
+    /// The one install rule of every maintenance transfer: offer `from`'s
+    /// live list of `term` to `dest`, whose digest the caller's probe
+    /// already carried. The list ships only when merging it could change
+    /// `dest` — `dest` lacks an identical live list, or (batched) an
+    /// earlier record for the same `(dest, term)` is already queued.
+    /// Batched mode queues the record for [`Self::flush_transfer_batch`];
+    /// unbatched mode sends one delivery-gated transfer now.
+    fn offer_list(&mut self, from: RingId, dest: RingId, term: TermId, out: &mut Transfers) {
+        let Some(list) = self
+            .indexing_state(from)
+            .and_then(|st| st.postings(term))
+            .filter(|l| !l.is_empty())
+        else {
+            return;
+        };
+        let queued = out.batched && out.pending.contains(&(dest.0, term));
+        if !queued
+            && self
+                .indexing_state(dest)
+                .is_some_and(|st| st.holds_identical(term, list))
+        {
+            out.tally.in_sync += 1;
+            return;
+        }
+        let entries = list.to_entries();
+        let bytes = records_wire_size(term, &entries);
+        out.tally.shipped += 1;
+        if out.batched {
+            out.pending.insert((dest.0, term));
+            let slot = out.batch.entry(dest.0).or_insert_with(|| (0, Vec::new()));
+            slot.0 += bytes;
+            slot.1.push((term, entries));
+            return; // installed (or lost) at flush time
+        }
+        let salt = sim::message_salt(from.0 as u64, dest.0 as u64, term.index() as u64);
+        match self.net().plan_delivery(from, dest, salt) {
+            Ok((_arrival, drops)) => {
+                if drops > 0 {
+                    self.net_mut().charge_n(MsgKind::Timeout, drops);
+                }
+                self.net_mut()
+                    .charge_n(MsgKind::Replication, entries.len() as u64);
+                self.net_mut().charge_bytes(MsgKind::Replication, bytes);
+            }
+            Err(drops) => {
+                self.net_mut().charge_n(MsgKind::Timeout, drops);
+                return; // transfer lost; `dest` stays as it was
+            }
+        }
+        let st = self.receiver_state(dest.0);
+        out.tally.installed += install(st, term, &entries, out.count_new);
+    }
+
+    /// `peer`'s indexing state, created empty when a transfer first
+    /// reaches it.
+    fn receiver_state(&mut self, peer: u128) -> &mut IndexingState {
+        let cap = self.config().query_cache_capacity;
+        let packed = self.config().packed_postings;
+        self.indexing_mut()
+            .entry(peer)
+            .or_insert_with(|| IndexingState::with_packing(cap, packed))
     }
 
     /// Flush dest-batched maintenance transfers through the event
@@ -302,12 +386,15 @@ impl SpriteSystem {
     /// message planned through the delivery layer — drops bill real
     /// [`MsgKind::Timeout`]s and a drowned message installs nothing, while
     /// the perfect default delivers every slot at `t = 0` in key order,
-    /// reproducing the lockstep flush. Returns installed entries: only
-    /// newly-added ones when `count_new` (the orphan pass), else every
-    /// delivered record (the replication pass bills data moved).
-    fn flush_transfer_batch(&mut self, batch: TransferBatch, count_new: bool) -> usize {
-        let cap = self.config().query_cache_capacity;
-        let packed = self.config().packed_postings;
+    /// reproducing the lockstep flush. Returns the pass's final tally,
+    /// installed entries counted as [`Transfers::count_new`] says.
+    fn flush_transfer_batch(&mut self, out: Transfers) -> PassTally {
+        let Transfers {
+            count_new,
+            batch,
+            mut tally,
+            ..
+        } = out;
         let mut queue = EventQueue::new();
         for (dest, (bytes, records)) in batch {
             // A dest-batched transfer merges many holders into one message,
@@ -321,7 +408,6 @@ impl SpriteSystem {
                 };
             queue.push(arrival, (dest, bytes, records, drops, delivered));
         }
-        let mut installed = 0;
         while let Some((_, (dest, bytes, records, drops, delivered))) = queue.pop() {
             if drops > 0 {
                 self.net_mut().charge_n(MsgKind::Timeout, drops);
@@ -331,21 +417,12 @@ impl SpriteSystem {
             }
             self.net_mut().charge(MsgKind::Replication);
             self.net_mut().charge_bytes(MsgKind::Replication, bytes);
-            let st = self
-                .indexing_mut()
-                .entry(dest)
-                .or_insert_with(|| IndexingState::with_packing(cap, packed));
+            let st = self.receiver_state(dest);
             for (term, entries) in records {
-                let before = st.indexed_df(term);
-                st.merge(term, &entries);
-                installed += if count_new {
-                    st.indexed_df(term) - before
-                } else {
-                    entries.len()
-                };
+                tally.installed += install(st, term, &entries, count_new);
             }
         }
-        installed
+        tally
     }
 
     /// Snapshot which peers hold which terms, both levels sorted so every
@@ -365,98 +442,60 @@ impl SpriteSystem {
     }
 
     /// The periodic successor replication of §7: every responsible indexing
-    /// peer copies each of its inverted lists to the `replication − 1`
+    /// peer offers each of its inverted lists to the `replication − 1`
     /// peers succeeding the *term's* ring position. A no-op when
     /// [`crate::SpriteConfig::replication`] is 1. Returns entries copied.
     ///
-    /// Responsibility and the replica set are both resolved by routed
-    /// walks (a `lookup_fast` from the holder, then the owner's successor
-    /// chain), and replication is charged per entry shipped, not per peer
-    /// contacted — the bill scales with the data moved, matching the
-    /// paper's per-message cost model.
+    /// Responsibility is resolved by a routed `lookup_fast` from the
+    /// holder, the replica set by walking the owner's successor chain.
+    /// Each replica probe carries the owner's list digest, and a list
+    /// ships only to replicas that lack an identical copy. Shipped data
+    /// is billed with its exact record bytes, as one
+    /// [`MsgKind::Replication`] per entry when unbatched, or as one per
+    /// destination per round when batched.
     pub fn replicate_indexes(&mut self) -> usize {
+        self.replicate_pass(&Routes::new()).installed
+    }
+
+    /// [`Self::replicate_indexes`] reusing the owner lookups `routes`
+    /// holds; only pairs missing from it are walked.
+    fn replicate_pass(&mut self, routes: &Routes) -> PassTally {
         let degree = self.config().replication;
         if degree <= 1 {
-            return 0;
+            return PassTally::default();
         }
-        let batched = self.config().batched_publish;
-        // dest replica → (summed payload bytes, records), flushed as one
-        // message per destination after the walk (BTreeMap: deterministic
-        // flush order).
-        let mut batch: TransferBatch = BTreeMap::new();
-        let holders = self.holder_snapshot();
-        let mut copied = 0;
-        for (holder, terms) in holders {
-            if !self.net().contains(RingId(holder)) {
+        let mut out = Transfers::new(self.config().batched_publish, false);
+        for (holder, terms) in self.holder_snapshot() {
+            let holder = RingId(holder);
+            if !self.net().contains(holder) {
                 continue;
             }
             for term in terms {
-                let key = self.term_ring(term);
-                // Only the current responsible peer fans out; replicas do
-                // not re-replicate. Responsibility is established by a
-                // routed lookup from the holder itself.
-                let Ok(lookup) = self.net_mut().lookup_fast(RingId(holder), key) else {
-                    continue;
+                let owner = match routes.binary_search_by_key(&(holder.0, term), |&(k, _)| k) {
+                    Ok(i) => routes[i].1,
+                    Err(_) => self.route_owner(holder, term),
                 };
-                if lookup.owner.0 != holder {
+                // Only the current responsible peer fans out; replicas do
+                // not re-replicate.
+                if owner != Some(holder)
+                    || self
+                        .indexing_state(holder)
+                        .map_or(0, |st| st.indexed_df(term))
+                        == 0
+                {
                     continue;
                 }
-                let entries: Vec<_> = self
-                    .indexing_state(lookup.owner)
-                    .map(|st| st.entries(term))
-                    .unwrap_or_default();
-                if entries.is_empty() {
-                    continue;
-                }
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| term_record_wire_size(term, e) as u64)
-                    .sum();
-                let cap = self.config().query_cache_capacity;
-                let packed = self.config().packed_postings;
                 let mut delta = NetStats::new();
-                let replicas: Vec<RingId> = self
-                    .net()
-                    .replicas_from_owner(lookup.owner, degree, &mut delta)
-                    .into_iter()
-                    .skip(1)
-                    .collect();
+                let replicas = self.net().replicas_from_owner(holder, degree, &mut delta);
                 self.net_mut().absorb_stats(&delta);
-                for replica in replicas {
-                    if batched {
-                        let slot = batch.entry(replica.0).or_insert_with(|| (0, Vec::new()));
-                        slot.0 += bytes;
-                        slot.1.push((term, entries.clone()));
-                        continue; // installed (or lost) at flush time
-                    }
-                    // Unbatched: one delivery-gated copy per replica.
-                    let salt =
-                        sim::message_salt(holder as u64, replica.0 as u64, term.index() as u64);
-                    match self.net().plan_delivery(lookup.owner, replica, salt) {
-                        Ok((_arrival, drops)) => {
-                            if drops > 0 {
-                                self.net_mut().charge_n(MsgKind::Timeout, drops);
-                            }
-                            self.net_mut()
-                                .charge_n(MsgKind::Replication, entries.len() as u64);
-                            self.net_mut().charge_bytes(MsgKind::Replication, bytes);
-                        }
-                        Err(drops) => {
-                            self.net_mut().charge_n(MsgKind::Timeout, drops);
-                            continue; // copy lost; this replica stays stale
-                        }
-                    }
-                    let st = self
-                        .indexing_mut()
-                        .entry(replica.0)
-                        .or_insert_with(|| IndexingState::with_packing(cap, packed));
-                    st.merge(term, &entries);
-                    copied += entries.len();
+                for replica in replicas.into_iter().skip(1) {
+                    self.net_mut()
+                        .charge_bytes(MsgKind::Maintenance, digest_wire_size(term) as u64);
+                    self.offer_list(holder, replica, term, &mut out);
                 }
             }
         }
-        copied += self.flush_transfer_batch(batch, false);
-        copied
+        self.flush_transfer_batch(out)
     }
 
     /// §7 load balancing: indexing peers report terms whose indexed
@@ -546,6 +585,7 @@ impl SpriteSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peer::records_wire_size;
     use crate::SpriteConfig;
     use sprite_corpus::{CorpusConfig, SyntheticCorpus};
     use sprite_ir::Query;
@@ -606,13 +646,40 @@ mod tests {
     #[test]
     fn replicate_copies_every_entry_once_per_replica() {
         let mut sys = system(2);
-        let copied = sys.replicate_indexes();
-        // Degree 2 ⇒ one extra copy per (doc, term) entry.
-        assert_eq!(copied, sys.corpus().len() * 5);
-        // Re-running re-publishes the same copies (idempotent state).
-        let entries_before = sys.total_index_entries();
-        sys.replicate_indexes();
-        assert_eq!(sys.total_index_entries(), entries_before);
+        // Publishing already wrote every replica: nothing is left to copy.
+        assert_eq!(sys.replicate_indexes(), 0);
+        let intact = index_snapshot(&sys);
+        // Strip one replica of one list; the next round restores exactly
+        // that list and ships nothing else.
+        let term = sys.published_terms(DocId(0))[0];
+        let key = sys.term_ring(term);
+        let owner = sys.net().oracle_owner(key).unwrap();
+        let replica = sys
+            .net()
+            .replicas_from_owner(owner, 2, &mut NetStats::new())[1];
+        let list = sys.indexing_state(owner).unwrap().entries(term);
+        let st = sys.indexing_state_mut(replica).unwrap();
+        for e in &list {
+            assert!(st.remove(term, e.doc));
+        }
+        sys.net_mut().reset_stats();
+        let report = sys.maintenance_round();
+        assert_eq!(index_snapshot(&sys), intact, "only that list came back");
+        assert_eq!(report.replicated, list.len(), "every entry, once");
+        assert_eq!(report.lists_shipped, 1);
+        assert_eq!(report.orphans_moved, 0);
+        assert!(report.lists_in_sync > 0);
+        let stats = sys.net().stats();
+        assert_eq!(
+            stats.count(MsgKind::Replication),
+            1,
+            "one batched transfer to the one divergent replica"
+        );
+        assert_eq!(
+            stats.bytes(MsgKind::Replication),
+            records_wire_size(term, &list),
+            "the shipped bytes are that list's records"
+        );
     }
 
     /// Every peer's lists — live entries and packed bytes — plus its
@@ -646,18 +713,25 @@ mod tests {
             sys.publish_all();
             let first = sys.maintenance_round();
             let after_first = index_snapshot(&sys);
+            sys.net_mut().reset_stats();
             let second = sys.maintenance_round();
             assert_eq!(
                 index_snapshot(&sys),
                 after_first,
                 "a second round changed some list (batched: {batched_publish})"
             );
-            assert!(first.replicated > 0);
-            assert_eq!(
-                second.replicated, first.replicated,
-                "replication still counts every shipped entry"
-            );
-            assert_eq!(second.orphans_moved, 0);
+            // Publishing wrote every replica and the ring is converged, so
+            // every digest matches and nothing ships in either round.
+            for round in [first, second] {
+                assert_eq!(round.lists_shipped, 0, "batched: {batched_publish}");
+                assert_eq!(round.replicated, 0);
+                assert_eq!(round.orphans_moved, 0);
+                assert!(round.lists_in_sync > 0);
+            }
+            assert_eq!(second.lists_in_sync, first.lists_in_sync);
+            let stats = sys.net().stats();
+            assert_eq!(stats.count(MsgKind::Replication), 0);
+            assert_eq!(stats.bytes(MsgKind::Replication), 0);
         }
     }
 
@@ -844,6 +918,266 @@ mod tests {
                 assert!(
                     !owner.published.contains(t),
                     "excluded term republished for doc {i}"
+                );
+            }
+        }
+    }
+
+    /// The full-copy reference model: maintenance and hand-over as they
+    /// ran before the digest gate, merging every offered list
+    /// unconditionally. It changes index state exactly as the production
+    /// passes must, and bills nothing.
+    mod full_copy {
+        use super::*;
+
+        /// `peer`'s indexing state, created empty on first delivery.
+        fn state(sys: &mut SpriteSystem, peer: RingId) -> &mut IndexingState {
+            let cap = sys.config().query_cache_capacity;
+            let packed = sys.config().packed_postings;
+            sys.indexing_mut()
+                .entry(peer.0)
+                .or_insert_with(|| IndexingState::with_packing(cap, packed))
+        }
+
+        pub(super) fn churn_tick(sys: &mut SpriteSystem, engine: &mut ChurnEngine) {
+            let events = engine.plan(sys.net());
+            for ev in &events {
+                match *ev {
+                    ChurnEvent::Leave { id } => {
+                        let chain = sys.net().replicas_from_owner(id, 2, &mut NetStats::new());
+                        let Some(left) = sys.indexing_mut().remove(&id.0) else {
+                            continue;
+                        };
+                        if let Some(&heir) = chain.get(1) {
+                            let heir = state(sys, heir);
+                            for (term, list) in left.terms() {
+                                heir.merge(term, &list.to_entries());
+                            }
+                        }
+                    }
+                    ChurnEvent::Fail { id } => {
+                        sys.indexing_mut().remove(&id.0);
+                    }
+                    ChurnEvent::Join { .. } => {}
+                }
+            }
+            engine.apply(sys.net_mut(), &events);
+            sys.refresh_peers();
+        }
+
+        pub(super) fn maintenance_round(sys: &mut SpriteSystem) {
+            for p in sys.indexing_peers() {
+                sys.indexing_mut()
+                    .get_mut(&p.0)
+                    .expect("indexing peer")
+                    .cleanup_tombstones();
+            }
+            transfers(sys, false);
+            if sys.config().replication > 1 {
+                transfers(sys, true);
+            }
+        }
+
+        /// One pass over every held list: the orphan pass re-homes lists
+        /// whose routed owner is another peer, the replication pass copies
+        /// each owned list to the owner's successors.
+        fn transfers(sys: &mut SpriteSystem, replicate: bool) {
+            let degree = sys.config().replication;
+            let mut batch: BTreeMap<u128, Vec<(TermId, Vec<IndexEntry>)>> = BTreeMap::new();
+            for holder in sys.indexing_peers() {
+                if !sys.net().contains(holder) {
+                    continue;
+                }
+                let terms: Vec<TermId> = sys
+                    .indexing_state(holder)
+                    .expect("indexing peer")
+                    .term_dfs()
+                    .map(|(t, _)| t)
+                    .collect();
+                for term in terms {
+                    let key = sys.term_ring(term);
+                    let Ok(lookup) = sys.net_mut().lookup_fast(holder, key) else {
+                        continue;
+                    };
+                    if (lookup.owner == holder) != replicate {
+                        continue;
+                    }
+                    let entries = sys.indexing_state(holder).unwrap().entries(term);
+                    if entries.is_empty() {
+                        continue;
+                    }
+                    let dests: Vec<RingId> = if replicate {
+                        let chain =
+                            sys.net()
+                                .replicas_from_owner(holder, degree, &mut NetStats::new());
+                        chain.into_iter().skip(1).collect()
+                    } else {
+                        vec![lookup.owner]
+                    };
+                    for dest in dests {
+                        if sys.config().batched_publish {
+                            batch
+                                .entry(dest.0)
+                                .or_default()
+                                .push((term, entries.clone()));
+                            continue;
+                        }
+                        let salt =
+                            sim::message_salt(holder.0 as u64, dest.0 as u64, term.index() as u64);
+                        if sys.net().plan_delivery(holder, dest, salt).is_ok() {
+                            state(sys, dest).merge(term, &entries);
+                        }
+                    }
+                }
+            }
+            // Each destination's message touches only its own state, so
+            // the flush order across destinations cannot matter.
+            for (dest, records) in batch {
+                let salt = sim::message_salt(dest as u64, (dest >> 64) as u64, 0x6d61_696e);
+                if sys
+                    .net()
+                    .plan_delivery(RingId(dest), RingId(dest), salt)
+                    .is_ok()
+                {
+                    for (term, entries) in records {
+                        state(sys, RingId(dest)).merge(term, &entries);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn maintenance_gate_matches_the_full_copy_model_under_churn() {
+        use sprite_chord::{ChurnConfig, SimConfig};
+        use sprite_corpus::{DocChurnConfig, DocChurnEngine};
+        let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(31));
+        for batched_publish in [true, false] {
+            for packed_postings in [true, false] {
+                for loss in [0.0, 0.05] {
+                    let case =
+                        format!("batched {batched_publish}, packed {packed_postings}, loss {loss}");
+                    let cfg = SpriteConfig {
+                        replication: 3,
+                        batched_publish,
+                        packed_postings,
+                        ..SpriteConfig::default()
+                    };
+                    let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, 31);
+                    sys.net_mut().set_sim(SimConfig {
+                        seed: 32,
+                        loss,
+                        ..SimConfig::default()
+                    });
+                    sys.publish_all();
+                    sys.replicate_indexes();
+                    let mut model = sys.clone();
+                    let churn = ChurnConfig {
+                        join_rate: 2.0,
+                        leave_rate: 1.0,
+                        ..ChurnConfig::default()
+                    };
+                    let mut engine = ChurnEngine::new(churn.clone(), 33);
+                    let mut model_engine = ChurnEngine::new(churn, 33);
+                    let mut docs = DocChurnEngine::new(
+                        DocChurnConfig {
+                            insert_rate: 1.0,
+                            update_rate: 2.0,
+                            delete_rate: 1.0,
+                            min_docs: 8,
+                        },
+                        34,
+                        &sc,
+                    );
+                    let (mut handed_over, mut shipped) = (0, 0);
+                    for tick in 0..8 {
+                        handed_over += sys.churn_tick(&mut engine).handed_over;
+                        full_copy::churn_tick(&mut model, &mut model_engine);
+                        assert_eq!(
+                            index_snapshot(&sys),
+                            index_snapshot(&model),
+                            "{case}, tick {tick}: hand-over"
+                        );
+                        let events = docs.plan(&sys.live_docs(), sys.corpus().len());
+                        sys.apply_doc_events(&events);
+                        model.apply_doc_events(&events);
+                        if tick % 2 == 1 {
+                            shipped += sys.maintenance_round().lists_shipped;
+                            full_copy::maintenance_round(&mut model);
+                            assert_eq!(
+                                index_snapshot(&sys),
+                                index_snapshot(&model),
+                                "{case}, tick {tick}: maintenance"
+                            );
+                        }
+                    }
+                    assert!(
+                        handed_over > 0 && shipped > 0,
+                        "{case}: the churn must exercise both transfers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn maintenance_gate_ships_a_matching_record_queued_behind_another() {
+        // Two holders re-home the same term to one new owner. The first
+        // record differs from the owner's copy; the second equals it, but
+        // the later merge wins ties, so the second must still ship or the
+        // first record's entries would stick.
+        for batched_publish in [true, false] {
+            for packed_postings in [true, false] {
+                let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(13));
+                let cfg = SpriteConfig {
+                    batched_publish,
+                    packed_postings,
+                    ..SpriteConfig::default()
+                };
+                let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, 13);
+                sys.publish_all();
+                let term = sys.published_terms(DocId(0))[0];
+                let key = sys.term_ring(term);
+                let holder = sys.net().oracle_owner(key).unwrap();
+                let list = sys.indexing_state(holder).unwrap().entries(term);
+                let mut changed = list.clone();
+                changed[0].tf += 1;
+                // The newcomer sits exactly at the term's ring position.
+                let bootstrap = sys.peers()[0];
+                sys.net_mut().join(RingId(key.0), bootstrap).unwrap();
+                sys.net_mut().converge(64);
+                sys.refresh_peers();
+                let newcomer = RingId(key.0);
+                let other = sys
+                    .peers()
+                    .iter()
+                    .copied()
+                    .find(|&p| p != holder && p != newcomer)
+                    .unwrap();
+                let (first, second) = (holder.min(other), holder.max(other));
+                let set = |sys: &mut SpriteSystem, peer: RingId, entries: &[IndexEntry]| {
+                    let packed = sys.config().packed_postings;
+                    let st = sys
+                        .indexing_mut()
+                        .entry(peer.0)
+                        .or_insert_with(|| IndexingState::with_packing(8, packed));
+                    for e in st.entries(term) {
+                        st.remove(term, e.doc);
+                    }
+                    st.merge(term, entries);
+                };
+                set(&mut sys, first, &changed);
+                set(&mut sys, second, &list);
+                set(&mut sys, newcomer, &list);
+                let mut model = sys.clone();
+                sys.maintenance_round();
+                full_copy::maintenance_round(&mut model);
+                assert_eq!(index_snapshot(&sys), index_snapshot(&model));
+                // Skipping the matching second record would leave `changed`.
+                assert_eq!(
+                    sys.indexing_state(newcomer).unwrap().entries(term),
+                    list,
+                    "batched: {batched_publish}"
                 );
             }
         }
